@@ -1,16 +1,20 @@
 //! Live-ingestion micro-benchmarks: concurrent check-in throughput at 1, 4
-//! and 8 write shards, and snapshot-query latency while writers are
-//! hammering the tier vs after it has quiesced.
+//! and 8 write shards, snapshot-query latency while writers are hammering
+//! the tier vs after it has quiesced, and the cost of merging two sealed
+//! epochs into the base (`merge_sealed`) against building the same index
+//! from scratch (`rebuild`).
 //!
 //! The `checkins/shards8` result backs the throughput gate in
 //! `scripts/verify.sh`: one iteration records [`EVENTS_PER_ITER`] check-ins
 //! from `shards` writer threads, so a median at or below
 //! `EVENTS_PER_ITER × 1000 ns` means the tier sustains at least one million
-//! check-ins per second on this node.
+//! check-ins per second on this node. The `merge_sealed` / `rebuild` pair
+//! backs the merge gate there: a merge folds deltas into a copy of the base
+//! tree, so it must stay several times cheaper than a rebuild.
 
 use knnta_bench::{load, BenchConfig, BenchData};
 use knnta_core::{Grouping, IndexConfig, LiveIndex, LiveOptions, Poi, TarIndex};
-use knnta_util::bench::Harness;
+use knnta_util::bench::{Group, Harness};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tempora::{AggregateSeries, CheckIn, Timestamp};
@@ -72,6 +76,52 @@ fn synth_events(data: &BenchData) -> Vec<CheckIn> {
         }
     }
     events
+}
+
+/// One valued check-in per non-zero `(POI, epoch)` total of `epoch`.
+fn epoch_events(data: &BenchData, epoch: usize) -> Vec<CheckIn> {
+    let start = data.dataset.grid.epoch(epoch).start;
+    data.snapshot
+        .iter()
+        .filter_map(|(id, _, series)| {
+            let v = series.get(epoch as u32);
+            (v > 0).then(|| CheckIn::with_value(*id, start + 60, v as u32))
+        })
+        .collect()
+}
+
+/// `merge_sealed` of two sealed epochs, against `TarIndex::build` over the
+/// same POIs. Each merge sample first records and seals the next two epochs
+/// of the dataset (untimed); once the open epoch saturates at the end of
+/// the grid those arrive as late events and still seal into two batches.
+fn merge_vs_rebuild(group: &mut Group<'_>, data: &BenchData) {
+    let live = live_of(data, 8);
+    let epochs = data.dataset.grid.len();
+    let by_epoch: Vec<Vec<CheckIn>> = (0..epochs).map(|e| epoch_events(data, e)).collect();
+    let mut next = 0usize;
+    group.bench("merge_sealed", |b| {
+        b.iter_batched(
+            || {
+                for _ in 0..2 {
+                    for e in &by_epoch[next % epochs] {
+                        live.record(e.clone());
+                    }
+                    live.seal_epoch();
+                    next += 1;
+                }
+            },
+            |()| live.merge_sealed(),
+        )
+    });
+
+    let pois = live.snapshot().index().export_pois();
+    let config = IndexConfig::with_grouping(Grouping::TarIntegral);
+    group.bench("rebuild", |b| {
+        b.iter_batched(
+            || pois.clone(),
+            |pois| TarIndex::build(config, data.dataset.grid.clone(), data.bounds(), pois),
+        )
+    });
 }
 
 fn ingestion(h: &mut Harness) {
@@ -161,6 +211,7 @@ fn ingestion(h: &mut Harness) {
             black_box(live.snapshot().query(q))
         })
     });
+    merge_vs_rebuild(&mut group, &data);
     group.finish();
 }
 

@@ -229,12 +229,7 @@ impl TarIndex {
                     .into_iter()
                     .map(|(poi, series)| {
                         let p = norm_static(&index.bounds, index.inv_scale, poi.pos);
-                        let rate = series.mean_rate(m);
-                        let z = if index.max_rate <= 0.0 {
-                            1.0
-                        } else {
-                            (1.0 - rate / index.max_rate).clamp(0.0, 1.0)
-                        };
+                        let z = z_for(series.mean_rate(m), index.max_rate);
                         (Rect::point([p[0], p[1], z]), poi, series)
                     })
                     .collect();
@@ -359,11 +354,7 @@ impl TarIndex {
     }
 
     fn z_of(&self, rate: f64) -> f64 {
-        if self.max_rate <= 0.0 {
-            1.0
-        } else {
-            (1.0 - rate / self.max_rate).clamp(0.0, 1.0)
-        }
+        z_for(rate, self.max_rate)
     }
 
     /// Inserts a POI with its per-epoch aggregate series.
@@ -480,6 +471,89 @@ impl TarIndex {
         }
     }
 
+    /// A copy of this index with `deltas` added to the leaf TIAs — the
+    /// batch digestion of Section 4.2 applied to every changed POI at once,
+    /// in one pass over a clone of the node arena.
+    ///
+    /// `max λ̂` and every leaf's `z` are recomputed from the summed series
+    /// exactly as [`TarIndex::build`] computes them, so [`TarIndex::pack`]
+    /// of the copy equals `pack()` of a rebuild over the same series word
+    /// for word, apart from the content-epoch meta word (the image sorts
+    /// leaves by Hilbert key over `(x, y, z)`, not by arena position). The
+    /// arena keeps this index's shape: which entries share a node is fixed
+    /// at build time. The copy counts into fresh [`AccessStats`], as a
+    /// rebuilt index would.
+    pub(crate) fn folded(&self, deltas: &HashMap<PoiId, AggregateSeries>) -> TarIndex {
+        let m = self.grid.len();
+        let mut summed: HashMap<PoiId, AggregateSeries> = HashMap::with_capacity(deltas.len());
+        let mut max_rate = 0.0f64;
+        with_tree!(self, t => {
+            for id in t.node_ids() {
+                for e in &t.node(id).entries {
+                    let Some(poi) = e.data() else { continue };
+                    let rate = match deltas.get(&poi.id) {
+                        Some(delta) => {
+                            let mut series = e.aug.clone();
+                            for (epoch, v) in delta.iter() {
+                                series.add(epoch, v);
+                            }
+                            let rate = series.mean_rate(m);
+                            summed.insert(poi.id, series);
+                            rate
+                        }
+                        None => e.aug.mean_rate(m),
+                    };
+                    max_rate = max_rate.max(rate);
+                }
+            }
+        });
+        let stats = AccessStats::new();
+        let mut take_summed = |poi: &Poi, aug: &mut AggregateSeries| {
+            if let Some(series) = summed.remove(&poi.id) {
+                *aug = series;
+            }
+        };
+        let tree = match &self.tree {
+            TreeImpl::Tar(t) => {
+                let mut t = t.clone();
+                t.rewrite_leaves(|poi, rect, aug| {
+                    take_summed(poi, aug);
+                    let z = z_for(aug.mean_rate(m), max_rate);
+                    rect.min[2] = z;
+                    rect.max[2] = z;
+                });
+                t.set_stats(stats.clone());
+                TreeImpl::Tar(t)
+            }
+            TreeImpl::Spa(t) => {
+                let mut t = t.clone();
+                t.rewrite_leaves(|poi, _, aug| take_summed(poi, aug));
+                t.set_stats(stats.clone());
+                TreeImpl::Spa(t)
+            }
+            TreeImpl::Agg(t) => {
+                let mut t = t.clone();
+                t.rewrite_leaves(|poi, _, aug| take_summed(poi, aug));
+                t.set_stats(stats.clone());
+                TreeImpl::Agg(t)
+            }
+        };
+        TarIndex {
+            tree,
+            grouping: self.grouping,
+            node_size: self.node_size,
+            forced_reinsert: self.forced_reinsert,
+            grid: self.grid.clone(),
+            bounds: self.bounds,
+            inv_scale: self.inv_scale,
+            max_rate,
+            positions: self.positions.clone(),
+            stats,
+            obs: self.obs.clone(),
+            content_epoch: self.content_epoch + 1,
+        }
+    }
+
     /// The dataset-wide per-epoch max series (the root TIA's content).
     pub fn root_max_series(&self) -> AggregateSeries {
         with_tree!(self, t => {
@@ -543,6 +617,16 @@ impl TarIndex {
             t.validate();
             t.validate_augs();
         });
+    }
+}
+
+/// The third grouping coordinate `z = 1 − λ̂p / max λ̂` (Section 5.2),
+/// clamped to the unit interval; 1 when no POI has any aggregate yet.
+fn z_for(rate: f64, max_rate: f64) -> f64 {
+    if max_rate <= 0.0 {
+        1.0
+    } else {
+        (1.0 - rate / max_rate).clamp(0.0, 1.0)
     }
 }
 
@@ -1001,6 +1085,38 @@ mod bulk_tests {
                         |hits: &[QueryHit]| hits.iter().map(|h| h.score).collect::<Vec<_>>();
                     assert_eq!(scores(&a), scores(&b), "{grouping} α0={alpha0} k={k}");
                 }
+            }
+        }
+    }
+
+    /// STR packing must leave no non-root node below `min_entries`: a slab
+    /// remainder used to make `validate()` panic on any bulk-built (or
+    /// persist-loaded) index spanning more than a handful of nodes.
+    #[test]
+    fn bulk_build_validates_at_thousands_of_points() {
+        let grid = EpochGrid::fixed_days(7, 26);
+        let bounds = Rect::new([0.0, 0.0], [1000.0, 1000.0]);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |modulus: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % modulus
+        };
+        for n in [1_000u32, 2_777, 4_500] {
+            let pois: Vec<(Poi, AggregateSeries)> = (0..n)
+                .map(|i| {
+                    let pos = [next(100_000) as f64 / 100.0, next(100_000) as f64 / 100.0];
+                    let series = AggregateSeries::from_pairs(
+                        (0..26).filter_map(|e| (next(8) > 4).then(|| (e, 1 + next(200)))),
+                    );
+                    (Poi { id: PoiId(i), pos }, series)
+                })
+                .collect();
+            for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
+                let config = IndexConfig::with_grouping(grouping);
+                let index = TarIndex::build_bulk(config, grid.clone(), bounds, pois.clone());
+                assert_eq!(index.len(), n as usize);
+                assert!(index.height() >= 1, "{grouping} n={n}: more than one node");
+                index.validate();
             }
         }
     }

@@ -19,11 +19,26 @@
 //!   via [`TarIndex::ingest_epoch`] — `tests/snapshot_oracle.rs` is the
 //!   differential proof.
 //! * **Background merge** — [`LiveIndex::merge_sealed`] folds sealed deltas
-//!   into a rebuilt base tree off the hot path (re-materialising the paged /
-//!   packed serving images when [`LiveOptions`] asks for them). In-flight
-//!   snapshots keep their old `Arc`s; answers before and after a merge are
-//!   bit-identical because the ranking's `(score, PoiId)` total order makes
-//!   results independent of tree shape.
+//!   into a *copy* of the base tree's node arena off the hot path: the
+//!   leaf TIAs take the deltas and every internal box and TIA is refreshed
+//!   in one bottom-up pass, as the paper's epoch-end update does; the tree
+//!   is never rebuilt. The copy keeps the base's shape, but recomputes
+//!   `max λ̂` and every leaf's `z` as a build would, so the packed serving
+//!   image equals a rebuild's word for word (bar its content-epoch word).
+//!   The paged / packed images are re-materialised when [`LiveOptions`]
+//!   asks for them. In-flight snapshots keep their old `Arc`s; answers
+//!   before and after a merge are bit-identical because the ranking's
+//!   `(score, PoiId)` total order makes results independent of tree shape.
+//!   The trade-off: in-memory snapshot queries
+//!   ([`SnapshotBackend::InMemory`]) run on the base's build-time grouping,
+//!   which fits the ingested aggregates less well as they drift, so they
+//!   open more nodes than on a fresh build; packed queries are unaffected.
+//! * **Publishing and reclamation** — seals and merges build the next
+//!   overlay or base from `Arc` clones taken under the read lock, take the
+//!   write lock only to swap pointers, and recompute against the newer
+//!   state if the other side published in between. Replaced states are
+//!   parked on a retired list and freed by a later seal or merge once no
+//!   snapshot holds them, so a reader never pays for freeing a tree.
 //!
 //! Sealing an epoch ([`LiveIndex::seal_epoch`] or the automatic roll when an
 //! event from a future epoch arrives) drains every shard into a
@@ -41,7 +56,7 @@
 //! because per-POI cumulative deltas are monotone. See `DESIGN.md` §13.
 
 use crate::collective::BatchOptions;
-use crate::index::{IndexConfig, TarIndex};
+use crate::index::TarIndex;
 use crate::observe;
 use crate::poi::{KnntaQuery, QueryHit};
 use knnta_obs::Obs;
@@ -110,48 +125,64 @@ struct DeltaOverlay {
     /// Per-epoch sum of all deltas — the admissible upper-bound adjustment
     /// applied to internal entries.
     total: AggregateSeries,
-    /// Per-epoch max of `base[poi] + delta[poi]` over the delta'd POIs; the
-    /// snapshot's root maximum is `max(base.root_max, combined_max)`, which
-    /// equals a merged index's root maximum exactly.
-    combined_max: AggregateSeries,
+    /// Per epoch, the max of the base's root maximum and of
+    /// `base[poi] + delta[poi]` over the delta'd POIs — bit-equal to the
+    /// merged index's root maximum series, so a snapshot's `gmax` matches
+    /// a replay.
+    root_max: AggregateSeries,
     /// Seal counter + open epoch at freeze time.
     watermark: EpochWatermark,
 }
 
 impl DeltaOverlay {
-    fn empty(watermark: EpochWatermark) -> Self {
+    /// The overlay of the cumulative deltas `per_poi` over `base`: a pure
+    /// function of the two, so its bounds never depend on seal history.
+    fn over(
+        base: &BaseState,
+        per_poi: HashMap<PoiId, AggregateSeries>,
+        watermark: EpochWatermark,
+    ) -> Self {
+        let mut total = AggregateSeries::new();
+        let mut root_max = base.root_max.clone();
+        for (poi, delta) in &per_poi {
+            let series = base.series.get(poi);
+            for (epoch, v) in delta.iter() {
+                total.add(epoch, v);
+                root_max.raise_to(epoch, series.map_or(0, |s| s.get(epoch)) + v);
+            }
+        }
         DeltaOverlay {
-            per_poi: HashMap::new(),
-            total: AggregateSeries::new(),
-            combined_max: AggregateSeries::new(),
+            per_poi,
+            total,
+            root_max,
             watermark,
         }
     }
 }
 
-/// Per-epoch max of `base[poi] + delta[poi]` over the POIs in `per_poi`.
-/// A pure function of (base series, overlay) — recomputed from scratch at
-/// every seal and merge so its value never depends on seal history.
-fn combined_max_of(
-    base: &HashMap<PoiId, AggregateSeries>,
-    per_poi: &HashMap<PoiId, AggregateSeries>,
-) -> AggregateSeries {
-    let mut max = AggregateSeries::new();
-    for (poi, delta) in per_poi {
-        let base = base.get(poi);
-        for (epoch, v) in delta.iter() {
-            let b = base.map_or(0, |s| s.get(epoch));
-            max.raise_to(epoch, b + v);
+/// Adds sealed batches into cumulative per-POI delta series. HashMap
+/// iteration order is irrelevant: every fold is a commutative sum over
+/// distinct `(epoch, poi)` keys.
+fn add_batches<'a>(
+    per_poi: &mut HashMap<PoiId, AggregateSeries>,
+    batches: impl IntoIterator<Item = &'a SealBatch>,
+) {
+    for batch in batches {
+        for (&(e, poi), &v) in &batch.deltas {
+            per_poi
+                .entry(poi)
+                .or_insert_with(AggregateSeries::new)
+                .add(e as u32, v);
         }
     }
-    max
 }
 
 /// An immutable base the snapshots read: the TAR-tree plus everything the
 /// overlay algebra and the differential oracle need to know about it.
 struct BaseState {
     index: TarIndex,
-    /// Per-POI base series (the tree's leaf TIAs), for `combined_max`.
+    /// Per-POI base series (the tree's leaf TIAs), for the overlay's root
+    /// maximum.
     series: HashMap<PoiId, AggregateSeries>,
     /// The base tree's root maximum series, computed once.
     root_max: AggregateSeries,
@@ -191,6 +222,23 @@ impl BaseState {
     }
 }
 
+/// A published `Arc` a later publish replaced, parked until no snapshot
+/// holds it (see `LiveIndex::retire`).
+enum Retired {
+    Base(Arc<BaseState>),
+    Overlay(Arc<DeltaOverlay>),
+}
+
+impl Retired {
+    /// Whether anything besides the retired list still holds the state.
+    fn in_use(&self) -> bool {
+        match self {
+            Retired::Base(a) => Arc::strong_count(a) > 1,
+            Retired::Overlay(a) => Arc::strong_count(a) > 1,
+        }
+    }
+}
+
 /// What snapshots see, swapped atomically under one lock so no reader can
 /// observe a new base with a stale overlay (or vice versa).
 struct Published {
@@ -217,6 +265,9 @@ pub struct LiveIndex {
     state: RwLock<Published>,
     /// Serialises merges (never held while a query or `record` runs).
     merge_lock: Mutex<()>,
+    /// Replaced states some snapshot still held when they were replaced;
+    /// freed by the first publish after their last snapshot is gone.
+    retired: Mutex<Vec<Retired>>,
     recorded: AtomicU64,
     dropped: AtomicU64,
     sealed_events: AtomicU64,
@@ -250,6 +301,8 @@ impl LiveIndex {
         let obs = index.obs().clone();
         let base = BaseState::materialise(index, HashMap::new(), &opts);
         let members = base.series.keys().copied().collect();
+        let overlay =
+            DeltaOverlay::over(&base, HashMap::new(), EpochWatermark::initial(first_open_epoch));
         let shard_count = opts.shards.max(1);
         LiveIndex {
             grid,
@@ -259,13 +312,12 @@ impl LiveIndex {
                 open_epoch: first_open_epoch,
             }),
             state: RwLock::new(Published {
-                overlay: Arc::new(DeltaOverlay::empty(EpochWatermark::initial(
-                    first_open_epoch,
-                ))),
+                overlay: Arc::new(overlay),
                 base: Arc::new(base),
                 batches: Vec::new(),
             }),
             merge_lock: Mutex::new(()),
+            retired: Mutex::new(Vec::new()),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             sealed_events: AtomicU64::new(0),
@@ -361,10 +413,14 @@ impl LiveIndex {
     /// Seals epochs until `target` is the open epoch. Racing rollers are
     /// fine: whoever wins the write lock seals, the rest see the new epoch.
     fn roll_to(&self, target: usize) {
-        let mut roll = self.roll.write();
-        while roll.open_epoch < target {
-            self.seal_locked(&mut roll);
+        let mut old = Vec::new();
+        {
+            let mut roll = self.roll.write();
+            while roll.open_epoch < target {
+                old.push(self.seal_locked(&mut roll).1);
+            }
         }
+        self.retire(old);
     }
 
     /// Seals the open epoch: drains every shard (the open epoch's
@@ -375,11 +431,18 @@ impl LiveIndex {
     ///
     /// Returns the number of distinct POIs whose deltas were drained.
     pub fn seal_epoch(&self) -> usize {
-        let mut roll = self.roll.write();
-        self.seal_locked(&mut roll)
+        let (changed, old) = {
+            let mut roll = self.roll.write();
+            self.seal_locked(&mut roll)
+        };
+        self.retire([old]);
+        changed
     }
 
-    fn seal_locked(&self, roll: &mut Roll) -> usize {
+    /// One seal under the roll's write lock; returns the number of changed
+    /// POIs and the overlay the seal replaced, for the caller to retire
+    /// once the roll is released.
+    fn seal_locked(&self, roll: &mut Roll) -> (usize, Retired) {
         let open = roll.open_epoch;
         let mut deltas: HashMap<(usize, PoiId), u64> = HashMap::new();
         let mut events = 0u64;
@@ -402,35 +465,41 @@ impl LiveIndex {
             pois.len()
         };
 
-        let mut st = self.state.write();
-        let watermark = st.overlay.watermark.sealed(roll.open_epoch);
-        let mut per_poi = st.overlay.per_poi.clone();
-        let mut total = st.overlay.total.clone();
-        if !deltas.is_empty() {
-            // HashMap iteration order is irrelevant: every fold is a
-            // commutative sum over distinct (epoch, poi) keys.
-            for (&(e, poi), &v) in &deltas {
-                per_poi
-                    .entry(poi)
-                    .or_insert_with(AggregateSeries::new)
-                    .add(e as u32, v);
-                total.add(e as u32, v);
+        let batch = (!deltas.is_empty()).then(|| Arc::new(SealBatch { deltas }));
+        // Build the next overlay from the published state without blocking
+        // snapshot readers; publish it only if no merge published in
+        // between, else recompute it against the merge's state.
+        let old = loop {
+            let (base, prev) = {
+                let st = self.state.read();
+                (Arc::clone(&st.base), Arc::clone(&st.overlay))
+            };
+            let mut per_poi = prev.per_poi.clone();
+            add_batches(&mut per_poi, batch.as_deref());
+            let watermark = prev.watermark.sealed(roll.open_epoch);
+            let next = Arc::new(DeltaOverlay::over(&base, per_poi, watermark));
+            let mut st = self.state.write();
+            if Arc::ptr_eq(&st.base, &base) && Arc::ptr_eq(&st.overlay, &prev) {
+                st.batches.extend(batch);
+                break std::mem::replace(&mut st.overlay, next);
             }
-            st.batches.push(Arc::new(SealBatch { deltas }));
-        }
-        let combined_max = combined_max_of(&st.base.series, &per_poi);
-        st.overlay = Arc::new(DeltaOverlay {
-            per_poi,
-            total,
-            combined_max,
-            watermark,
-        });
-        drop(st);
+        };
 
         self.sealed_events.fetch_add(events, Ordering::Relaxed);
         self.obs.counter(observe::M_LIVE_SEALS).add(1);
         self.obs.counter(observe::M_LIVE_SEALED).add(events);
-        changed
+        (changed, Retired::Overlay(old))
+    }
+
+    /// Parks the states a publish replaced, then frees every parked state
+    /// no snapshot holds any more. Frees happen here, on the sealing or
+    /// merging thread: a reader dropping the last snapshot of a replaced
+    /// state only leaves it for the next publish to free, so no query pays
+    /// for dropping a tree.
+    fn retire(&self, old: impl IntoIterator<Item = Retired>) {
+        let mut retired = self.retired.lock();
+        retired.extend(old);
+        retired.retain(Retired::in_use);
     }
 
     /// Takes an immutable snapshot of everything sealed so far: the base
@@ -439,24 +508,29 @@ impl LiveIndex {
     /// writers are never blocked by however long the snapshot is queried.
     pub fn snapshot(&self) -> SnapshotView {
         let st = self.state.read();
-        let mut adjusted = st.base.root_max.clone();
-        adjusted.merge_max(&st.overlay.combined_max);
         let view = SnapshotView {
             base: Arc::clone(&st.base),
             overlay: Arc::clone(&st.overlay),
-            adjusted_root_max: adjusted,
         };
         drop(st);
         self.obs.counter(observe::M_LIVE_SNAPSHOTS).add(1);
         view
     }
 
-    /// Folds every currently-sealed batch into a rebuilt base tree (and
-    /// re-materialises the paged / packed serving images per
-    /// [`LiveOptions`]), off the hot path: no lock is held during the
-    /// rebuild, writers keep streaming, and in-flight snapshots keep their
-    /// old state. Answers are unaffected — the `(score, PoiId)` total order
-    /// makes them independent of tree shape.
+    /// Folds every currently-sealed batch into a new base and publishes it
+    /// (re-materialising the paged / packed serving images per
+    /// [`LiveOptions`]). No lock readers or writers wait on is held while
+    /// the base is built: writers keep streaming and in-flight snapshots
+    /// keep their old state.
+    ///
+    /// The new base is a copy of the old tree's node arena with the
+    /// deltas added to its leaf TIAs and every internal box and TIA
+    /// refreshed in one bottom-up pass — the paper's epoch-end update
+    /// (Section 4.2), not a rebuild. The copy keeps the old tree's shape;
+    /// `max λ̂` and every leaf's `z` are recomputed as a build would, so
+    /// the packed serving image equals a rebuild's word for word apart
+    /// from its content-epoch word. Answers are unaffected either way: the
+    /// `(score, PoiId)` total order makes them independent of tree shape.
     ///
     /// Returns the number of sealed batches folded (0 when there was
     /// nothing to merge). Concurrent callers are serialised.
@@ -470,66 +544,34 @@ impl LiveIndex {
             return 0;
         }
         let folded_n = batches.len();
-        let mut folded: HashMap<PoiId, AggregateSeries> = HashMap::new();
-        for b in &batches {
-            for (&(e, poi), &v) in &b.deltas {
-                folded
-                    .entry(poi)
-                    .or_insert_with(AggregateSeries::new)
-                    .add(e as u32, v);
-            }
-        }
-
-        let mut pois = base.index.export_pois();
-        for (poi, series) in &mut pois {
-            if let Some(d) = folded.get(&poi.id) {
-                for (e, v) in d.iter() {
-                    series.add(e, v);
-                }
-            }
-        }
-        let config = IndexConfig {
-            grouping: base.index.grouping(),
-            node_size: base.index.config_node_size(),
-            forced_reinsert: base.index.config_forced_reinsert(),
-        };
-        let mut index = TarIndex::build(config, self.grid.clone(), *base.index.bounds(), pois);
-        index.set_obs(self.obs.clone());
+        let mut folded = HashMap::new();
+        add_batches(&mut folded, batches.iter().map(Arc::as_ref));
+        let index = base.index.folded(&folded);
         let mut merged = base.merged.clone();
-        for (poi, d) in &folded {
-            let m = merged.entry(*poi).or_insert_with(AggregateSeries::new);
-            for (e, v) in d.iter() {
-                m.add(e, v);
-            }
-        }
-        let fresh = BaseState::materialise(index, merged, &self.opts);
+        add_batches(&mut merged, batches.iter().map(Arc::as_ref));
+        drop(base);
+        let fresh = Arc::new(BaseState::materialise(index, merged, &self.opts));
 
-        let mut st = self.state.write();
-        // Seals that happened during the rebuild appended to `batches`;
-        // keep those and recompute the remainder overlay against the new
-        // base from scratch.
-        let remaining = st.batches.split_off(folded_n);
-        let mut per_poi: HashMap<PoiId, AggregateSeries> = HashMap::new();
-        let mut total = AggregateSeries::new();
-        for b in &remaining {
-            for (&(e, poi), &v) in &b.deltas {
-                per_poi
-                    .entry(poi)
-                    .or_insert_with(AggregateSeries::new)
-                    .add(e as u32, v);
-                total.add(e as u32, v);
+        // Seals that ran while the base was built appended to `batches`;
+        // keep those as the new overlay, recomputed against the new base.
+        // Publish only if no seal published in between, else recompute.
+        let old = loop {
+            let (prev, remaining) = {
+                let st = self.state.read();
+                (Arc::clone(&st.overlay), st.batches[folded_n..].to_vec())
+            };
+            let mut per_poi = HashMap::new();
+            add_batches(&mut per_poi, remaining.iter().map(Arc::as_ref));
+            let next = Arc::new(DeltaOverlay::over(&fresh, per_poi, prev.watermark));
+            let mut st = self.state.write();
+            if Arc::ptr_eq(&st.overlay, &prev) {
+                st.batches.drain(..folded_n);
+                let old_base = std::mem::replace(&mut st.base, Arc::clone(&fresh));
+                let old_overlay = std::mem::replace(&mut st.overlay, next);
+                break [Retired::Base(old_base), Retired::Overlay(old_overlay)];
             }
-        }
-        let combined_max = combined_max_of(&fresh.series, &per_poi);
-        st.overlay = Arc::new(DeltaOverlay {
-            per_poi,
-            total,
-            combined_max,
-            watermark: st.overlay.watermark,
-        });
-        st.base = Arc::new(fresh);
-        st.batches = remaining;
-        drop(st);
+        };
+        self.retire(old);
 
         self.obs.counter(observe::M_LIVE_MERGES).add(1);
         folded_n
@@ -577,9 +619,6 @@ pub enum SnapshotBackend {
 pub struct SnapshotView {
     base: Arc<BaseState>,
     overlay: Arc<DeltaOverlay>,
-    /// `max(base.root_max, overlay.combined_max)` per epoch — bit-equal to
-    /// the merged index's root maximum series, so `gmax` matches a replay.
-    adjusted_root_max: AggregateSeries,
 }
 
 impl SnapshotView {
@@ -645,7 +684,7 @@ impl SnapshotView {
     /// overlay-adjusted root maximum (bit-equal to
     /// [`TarIndex::aggregate_normalizer`] on the merged index).
     pub fn normalizer(&self, iq: TimeInterval) -> f64 {
-        (self.adjusted_root_max.aggregate_over(self.base.index.grid(), iq) as f64).max(1.0)
+        (self.overlay.root_max.aggregate_over(self.base.index.grid(), iq) as f64).max(1.0)
     }
 
     /// The unified executor's environment for this snapshot: the frozen
@@ -658,7 +697,7 @@ impl SnapshotView {
                 per_poi: &self.overlay.per_poi,
                 total: &self.overlay.total,
             }),
-            root_max: Some(&self.adjusted_root_max),
+            root_max: Some(&self.overlay.root_max),
             check_fresh: false,
         }
     }
@@ -978,6 +1017,54 @@ mod tests {
         // Cumulative deltas are preserved across the merge boundary.
         assert_eq!(deltas_before, snap2.cumulative_deltas());
         live.validate();
+    }
+
+    /// Replaced states are freed by the publishing writer: at once when no
+    /// snapshot holds them, else at the first publish after the last
+    /// snapshot holding them is dropped. A held snapshot keeps answering
+    /// bit-identically meanwhile.
+    #[test]
+    fn retired_state_is_freed_at_the_first_publish_it_is_unreferenced() {
+        let (live, pois) = empty_index();
+        let parked = |live: &LiveIndex| live.retired.lock().len();
+        live.record(CheckIn::at(pois[0].0.id, Timestamp::ZERO));
+        live.seal_epoch();
+        assert_eq!(parked(&live), 0, "no snapshot held: a seal frees what it replaced");
+        live.merge_sealed();
+        assert_eq!(parked(&live), 0, "no snapshot held: a merge frees what it replaced");
+
+        live.record(CheckIn::at(pois[1].0.id, Timestamp::from_days(1)));
+        live.seal_epoch();
+        let snap = live.snapshot();
+        let q = KnntaQuery::new(pois[1].0.pos, TimeInterval::days(0, 3))
+            .with_k(3)
+            .with_alpha0(0.3);
+        let before = snap.query(&q);
+        live.record(CheckIn::at(pois[1].0.id, Timestamp::from_days(2)));
+        live.seal_epoch();
+        assert_eq!(parked(&live), 1, "the snapshot's overlay stays parked");
+        live.merge_sealed();
+        assert_eq!(parked(&live), 2, "the snapshot's base joins it");
+        let after = snap.query(&q);
+        assert_eq!(before.len(), after.len());
+        for (a, b) in before.iter().zip(&after) {
+            assert_eq!(
+                (a.poi, a.score.to_bits(), a.aggregate),
+                (b.poi, b.score.to_bits(), b.aggregate),
+                "a held snapshot's answers changed"
+            );
+        }
+
+        let base = Arc::downgrade(&snap.base);
+        let overlay = Arc::downgrade(&snap.overlay);
+        drop(snap);
+        assert!(
+            base.upgrade().is_some() && overlay.upgrade().is_some(),
+            "dropping the snapshot frees nothing on the reader"
+        );
+        live.seal_epoch();
+        assert!(base.upgrade().is_none() && overlay.upgrade().is_none());
+        assert_eq!(parked(&live), 0);
     }
 
     /// Parallel and batch entry points agree with the sequential snapshot

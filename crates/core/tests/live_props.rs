@@ -9,10 +9,14 @@
 //! here the ground truth is the cumulative per-(epoch, POI) delta map
 //! itself, which [`SnapshotView::cumulative_deltas`] must reproduce exactly
 //! no matter how writers, sealers and mergers interleave.
+//!
+//! A merge folds the sealed deltas into a copy of the base tree instead of
+//! rebuilding it; `merged_packed_image_equals_a_rebuilds` pins that the
+//! packed serving image still comes out word for word as a rebuild's.
 
 use knnta_core::{Grouping, IndexConfig, LiveIndex, LiveOptions, Poi, TarIndex};
 use knnta_util::prop::{check, Gen};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use tempora::{AggregateSeries, CheckIn, EpochGrid, PoiId, Timestamp};
 
 const EPOCHS: usize = 6;
@@ -282,5 +286,79 @@ fn event_counters_conserve_under_any_interleaving() {
             live.recorded(),
             "no event lost or double-counted"
         );
+    });
+}
+
+/// `meta1` of the packed header (`docs/FORMAT.md` §1): the source index's
+/// content epoch, the one word a fold and a rebuild may disagree on.
+const META1_BYTES: std::ops::Range<usize> = 15 * 8..16 * 8;
+
+#[test]
+fn merged_packed_image_equals_a_rebuilds() {
+    // A merge folds two sealed epochs into a copy of the base's arena. Its
+    // `max λ̂` and leaf `z` are recomputed as `build` would, and the image
+    // orders leaves by Hilbert key, not arena position: so `pack()` of the
+    // merged base must equal `pack()` of `TarIndex::build` over the merged
+    // series word for word, except the content-epoch word — for every
+    // grouping, with trees deep enough to have internal levels.
+    check("live_merge_image_equals_rebuild", 12, |g| {
+        let epochs = 6;
+        let grid = EpochGrid::fixed_days(1, epochs);
+        let bounds = rtree::Rect::new([0.0, 0.0], [100.0, 100.0]);
+        let n = g.u32_in(60..400);
+        let pois: Vec<(Poi, AggregateSeries)> = (0..n)
+            .map(|i| {
+                let series = AggregateSeries::from_pairs(
+                    (0..2u32).filter_map(|e| g.bool().then(|| (e, g.u64_in(1..20)))),
+                );
+                (Poi::new(i, g.f64_in(0.0..100.0), g.f64_in(0.0..100.0)), series)
+            })
+            .collect();
+        let mut events: Vec<(u32, usize, u32)> = g.vec(1, 300, |g| {
+            (g.u32_in(0..n), g.usize_in(2..4), g.u32_in(1..40))
+        });
+        // In epoch order: the first epoch-3 event rolls epoch 2 sealed.
+        events.sort_by_key(|&(_, epoch, _)| epoch);
+        for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
+            let config = IndexConfig::with_grouping(grouping);
+            let index = TarIndex::build(config, grid.clone(), bounds, pois.clone());
+            let live = LiveIndex::with_options(
+                index,
+                2,
+                LiveOptions {
+                    serve_packed: true,
+                    ..LiveOptions::default()
+                },
+            );
+            for &(poi, epoch, v) in &events {
+                let t = grid.epoch(epoch).start + 60;
+                live.record(CheckIn::with_value(PoiId(poi), t, v));
+            }
+            while live.current_epoch() < 4 {
+                live.seal_epoch();
+            }
+            assert!(live.merge_sealed() > 0, "sealed epochs fold");
+            live.validate();
+
+            let mut merged: HashMap<PoiId, AggregateSeries> =
+                pois.iter().map(|(p, s)| (p.id, s.clone())).collect();
+            for (epoch, poi, v) in live.snapshot().cumulative_deltas() {
+                merged.get_mut(&poi).unwrap().add(epoch as u32, v);
+            }
+            let rebuilt = TarIndex::build(
+                config,
+                grid.clone(),
+                bounds,
+                pois.iter().map(|(p, _)| (*p, merged[&p.id].clone())),
+            );
+            let mut got = live.snapshot().index().pack().to_bytes();
+            let mut want = rebuilt.pack().to_bytes();
+            assert_eq!(got.len(), want.len(), "{grouping}: image sizes differ");
+            got[META1_BYTES].fill(0);
+            want[META1_BYTES].fill(0);
+            if let Some(at) = got.iter().zip(&want).position(|(a, b)| a != b) {
+                panic!("{grouping}: images differ at byte {at} (word {})", at / 8);
+            }
+        }
     });
 }

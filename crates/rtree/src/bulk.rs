@@ -6,7 +6,10 @@
 //! snapshot — STR packing (Leutenegger et al., ICDE 1997) produces a
 //! near-fully-packed tree in one pass per level: sort by the first
 //! grouping-space coordinate, tile into slabs, recurse on the remaining
-//! coordinates, and emit runs of `max_entries` as nodes.
+//! coordinates, and emit runs of `max_entries` as nodes. A slab whose size
+//! is not a multiple of `max_entries` ends in a short run; each run below
+//! `min_entries` is rebalanced with its neighbour, so a bulk-loaded tree
+//! meets every invariant an insert-built one does.
 //!
 //! The packing operates in the same grouping space as the incremental
 //! insertion path (2-D for IND-spa, 3-D with the normalised aggregate for
@@ -33,7 +36,7 @@ where
         if items.is_empty() {
             return;
         }
-        let cap = self.params().max_entries;
+        let (min, cap) = (self.params().min_entries, self.params().max_entries);
         let n = items.len();
 
         // Pack the data entries into leaves.
@@ -46,7 +49,7 @@ where
             })
             .collect();
         let mut level = 0u32;
-        let mut nodes: Vec<crate::node::NodeId> = str_tiles::<D, _>(entries, cap)
+        let mut nodes: Vec<crate::node::NodeId> = str_tiles::<D, _>(entries, min, cap)
             .into_iter()
             .map(|chunk| {
                 let mut node = Node::new(0);
@@ -62,7 +65,7 @@ where
                 .iter()
                 .map(|&id| self.child_entry_public(id))
                 .collect();
-            nodes = str_tiles::<D, _>(child_entries, cap)
+            nodes = str_tiles::<D, _>(child_entries, min, cap)
                 .into_iter()
                 .map(|chunk| {
                     let mut node = Node::new(level);
@@ -76,15 +79,40 @@ where
     }
 }
 
-/// Recursive STR tiling: partitions `entries` into chunks of at most `cap`,
-/// spatially coherent in all `D` dimensions of their box centres.
-fn str_tiles<const D: usize, E>(entries: Vec<E>, cap: usize) -> Vec<Vec<E>>
+/// Recursive STR tiling: partitions `entries` into chunks of `min..=cap`
+/// entries (a lone chunk may hold fewer), spatially coherent in all `D`
+/// dimensions of their box centres.
+fn str_tiles<const D: usize, E>(entries: Vec<E>, min: usize, cap: usize) -> Vec<Vec<E>>
 where
     E: HasRect<D>,
 {
     let mut out = Vec::new();
     tile_rec(entries, cap, 0, &mut out);
+    rebalance(&mut out, min, cap);
     out
+}
+
+/// Merges every chunk shorter than `min` with its predecessor in tiling
+/// order (its successor, for the first chunk) and re-splits the pair into
+/// two halves when it overflows `cap`. Both halves then hold at least
+/// `min`, because R\* parameters keep `2 · min ≤ cap + 1`.
+fn rebalance<E>(chunks: &mut Vec<Vec<E>>, min: usize, cap: usize) {
+    let mut i = 0;
+    while i < chunks.len() {
+        if chunks.len() == 1 || chunks[i].len() >= min {
+            i += 1;
+            continue;
+        }
+        let at = i.saturating_sub(1);
+        let second = chunks.remove(at + 1);
+        let pair = &mut chunks[at];
+        pair.extend(second);
+        if pair.len() > cap {
+            let upper = pair.split_off(pair.len().div_ceil(2));
+            chunks.insert(at + 1, upper);
+        }
+        i = at;
+    }
 }
 
 /// One tiling step along dimension `dim`.
@@ -178,10 +206,11 @@ mod tests {
 
     #[test]
     fn bulk_load_structure_and_content() {
-        for n in [1usize, 7, 8, 9, 100, 1000] {
+        for n in [1usize, 7, 8, 9, 10, 11, 17, 100, 1000, 3001] {
             let (t, items) = bulk_tree(n, 8);
             assert_eq!(t.len(), n, "n={n}");
-            t.validate_bulk();
+            t.validate();
+            t.validate_augs();
             let mut got: Vec<u32> = t.items().into_iter().map(|(_, &id)| id).collect();
             got.sort_unstable();
             let want: Vec<u32> = (0..n as u32).collect();
@@ -224,9 +253,8 @@ mod tests {
         assert_eq!(t.len(), 301);
         let removed = t.remove(&items[7].0, |&id| id == 7);
         assert_eq!(removed, Some(7));
-        // STR leaves trailing nodes underfull, so only the bulk-grade
-        // invariants apply after further updates.
-        t.validate_bulk();
+        t.validate();
+        t.validate_augs();
         assert_eq!(t.len(), 300);
     }
 
@@ -270,6 +298,7 @@ mod tests {
             .collect();
         t.bulk_load(items);
         assert_eq!(t.len(), 500);
-        t.validate_bulk();
+        t.validate();
+        t.validate_augs();
     }
 }

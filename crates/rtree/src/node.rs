@@ -101,7 +101,7 @@ impl<const D: usize, T, V> Node<D, T, V> {
 }
 
 /// A slab arena of nodes with a free list.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Arena<const D: usize, T, V> {
     slots: Vec<Option<Node<D, T, V>>>,
     free: Vec<NodeId>,

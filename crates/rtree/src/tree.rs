@@ -69,7 +69,10 @@ impl<T> Augmentation<T> for NoAug {
 /// let nearest = tree.nearest(&[4.0, 4.0], 1);
 /// assert_eq!(*nearest[0].1, "office");
 /// ```
-#[derive(Debug)]
+///
+/// Cloning copies the node arena; the clone shares the original's
+/// [`AccessStats`] until [`RStarTree::set_stats`] gives it its own.
+#[derive(Debug, Clone)]
 pub struct RStarTree<const D: usize, T, A, S>
 where
     A: Augmentation<T>,
@@ -132,6 +135,11 @@ where
     /// The shared access statistics.
     pub fn stats(&self) -> &AccessStats {
         &self.stats
+    }
+
+    /// Replaces the access statistics queries on this tree count into.
+    pub fn set_stats(&mut self, stats: AccessStats) {
+        self.stats = stats;
     }
 
     /// The root node id.
@@ -360,6 +368,44 @@ where
         changed
     }
 
+    /// Lets `f` rewrite every leaf entry's box and augmented value, then
+    /// recomputes every internal entry's box and augmentation bottom-up.
+    /// One pass over the whole tree, O(n); the shape (which entries share a
+    /// node) is left as it is.
+    ///
+    /// This is [`RStarTree::update_leaf_augs`] for updates that touch most
+    /// leaves at once — e.g. a change of normaliser that moves every
+    /// entry's box — where per-path refreshes would revisit internal nodes
+    /// many times over.
+    pub fn rewrite_leaves<F>(&mut self, mut f: F)
+    where
+        F: FnMut(&T, &mut Rect<D>, &mut A::Value),
+    {
+        self.rewrite_rec(self.root, &mut f);
+    }
+
+    fn rewrite_rec<F>(&mut self, id: NodeId, f: &mut F)
+    where
+        F: FnMut(&T, &mut Rect<D>, &mut A::Value),
+    {
+        if self.arena.get(id).is_leaf() {
+            for e in &mut self.arena.get_mut(id).entries {
+                if let EntryPayload::Data(t) = &e.payload {
+                    f(t, &mut e.rect, &mut e.aug);
+                }
+            }
+            return;
+        }
+        for i in 0..self.arena.get(id).len() {
+            let child = self.arena.get(id).entries[i]
+                .child_id()
+                .expect("internal nodes hold child entries");
+            self.rewrite_rec(child, f);
+            let refreshed = self.child_entry(child);
+            self.arena.get_mut(id).entries[i] = refreshed;
+        }
+    }
+
     /// Checks every structural invariant; panics with a description on the
     /// first violation. Intended for tests.
     pub fn validate(&self)
@@ -447,42 +493,6 @@ where
         self.arena.free(self.root);
         self.root = root;
         self.len = len;
-    }
-
-    /// Validates structure like [`RStarTree::validate`] but without the
-    /// minimum-fill condition: STR packing legitimately leaves the last node
-    /// of each level underfull.
-    pub fn validate_bulk(&self)
-    where
-        A::Value: PartialEq + std::fmt::Debug,
-    {
-        let mut item_count = 0;
-        self.validate_bulk_rec(self.root, &mut item_count);
-        assert_eq!(item_count, self.len, "len() matches stored items");
-        self.validate_augs();
-    }
-
-    fn validate_bulk_rec(&self, id: NodeId, item_count: &mut usize) {
-        let node = self.arena.get(id);
-        assert!(
-            node.len() <= self.params.max_entries,
-            "{id} exceeds max entries"
-        );
-        for e in &node.entries {
-            match &e.payload {
-                EntryPayload::Data(_) => {
-                    assert!(node.is_leaf(), "data entry in internal {id}");
-                    *item_count += 1;
-                }
-                EntryPayload::Child(c) => {
-                    assert!(!node.is_leaf(), "child entry in leaf {id}");
-                    let child = self.arena.get(*c);
-                    assert_eq!(child.level + 1, node.level, "level gap at {id}");
-                    assert_eq!(e.rect, child.bounding_rect(), "stale rect at {id}");
-                    self.validate_bulk_rec(*c, item_count);
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1031,22 +1041,23 @@ mod tests {
         assert_eq!(got, by_dist[..7].iter().map(|&(_, id)| id).collect::<Vec<_>>());
     }
 
+    /// Sums item weights per subtree.
+    struct SumAug;
+    impl Augmentation<(u32, u64)> for SumAug {
+        type Value = u64;
+        fn leaf_value(&self, item: &(u32, u64)) -> u64 {
+            item.1
+        }
+        fn empty(&self) -> u64 {
+            0
+        }
+        fn merge(&self, acc: &mut u64, child: &u64) {
+            *acc += child;
+        }
+    }
+
     #[test]
     fn update_leaf_augs_with_sum_augmentation() {
-        /// Sums item weights per subtree.
-        struct SumAug;
-        impl Augmentation<(u32, u64)> for SumAug {
-            type Value = u64;
-            fn leaf_value(&self, item: &(u32, u64)) -> u64 {
-                item.1
-            }
-            fn empty(&self) -> u64 {
-                0
-            }
-            fn merge(&self, acc: &mut u64, child: &u64) {
-                *acc += child;
-            }
-        }
         let mut t: RStarTree<2, (u32, u64), SumAug, RStarGrouping> = RStarTree::new(
             RTreeParams::with_max_entries(6),
             SumAug,
@@ -1073,5 +1084,59 @@ mod tests {
         t.validate_augs();
         let root_total: u64 = t.node(t.root_id()).entries.iter().map(|e| e.aug).sum();
         assert_eq!(root_total, 200 + 50 * 9);
+    }
+
+    #[test]
+    fn rewrite_leaves_keeps_shape_and_refreshes_summaries() {
+        let mut t: RStarTree<2, (u32, u64), SumAug, RStarGrouping> = RStarTree::new(
+            RTreeParams::with_max_entries(8),
+            SumAug,
+            RStarGrouping,
+            AccessStats::new(),
+        );
+        let pts = grid_points(600);
+        for (p, id) in &pts {
+            t.insert(Rect::point(*p), (*id, 1));
+        }
+        let nodes = t.node_count();
+        let height = t.height();
+        // Mirror every box across x = 500 and weight each item by its id:
+        // every leaf box and every summary changes.
+        t.rewrite_leaves(|item, rect, aug| {
+            *rect = Rect::point([1000.0 - rect.min[0], rect.min[1]]);
+            *aug = u64::from(item.0);
+        });
+        t.validate();
+        t.validate_augs();
+        assert_eq!((t.node_count(), t.height()), (nodes, height), "shape unchanged");
+        let root_total: u64 = t.node(t.root_id()).entries.iter().map(|e| e.aug).sum();
+        assert_eq!(root_total, (0..600u64).sum::<u64>());
+        // Range queries see the moved boxes.
+        let q = Rect::new([100.0, 100.0], [400.0, 350.0]);
+        let mut got: Vec<u32> = t.range_query(&q).into_iter().map(|it| it.0).collect();
+        got.sort_unstable();
+        let want: Vec<u32> = pts
+            .iter()
+            .filter(|(p, _)| q.contains_point(&[1000.0 - p[0], p[1]]))
+            .map(|&(_, id)| id)
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn clone_is_independent_of_the_original() {
+        let mut t = small_tree(8);
+        for (p, id) in grid_points(200) {
+            t.insert(Rect::point(p), id);
+        }
+        let mut copy = t.clone();
+        copy.set_stats(AccessStats::new());
+        copy.rewrite_leaves(|_, rect, _| *rect = Rect::point([rect.min[0] + 5000.0, rect.min[1]]));
+        copy.validate();
+        t.validate();
+        assert!(copy.range_query(&Rect::new([0.0, 0.0], [1000.0, 1000.0])).is_empty());
+        assert_eq!(t.stats().node_accesses(), 0, "the copy counts into its own stats");
+        assert_eq!(t.range_query(&Rect::new([0.0, 0.0], [1000.0, 1000.0])).len(), 200);
     }
 }

@@ -29,7 +29,9 @@
 # planner/planned/{k} p95 must stay within 1.15x of every fixed
 # configuration (mem_seq / packed_seq / paged_seq), i.e. within 1.15x of
 # the best one, measured on a dedicated 21-sample re-run of the queries
-# suite.
+# suite. It also gates live-tier merges: ingestion/rebuild must take at
+# least 5x as long as ingestion/merge_sealed (two sealed epochs folded into
+# a copy of the base tree).
 #
 # Opt-in service lane: KNNTA_SERVICE_CHECK=1 drives `knnta serve` (the
 # async sharded query service) with a short seeded open-loop client,
@@ -149,6 +151,12 @@ if [ -n "${KNNTA_BENCH_DIFF:-}" ]; then
     cargo run -q --release --offline --bin bench_diff -- \
         --within "$fresh/BENCH_ingestion.json" \
         --assert-max ingestion/checkins/shards8 200000000
+    echo "== bench-diff: merge gate (rebuild >= 5x merge_sealed of two sealed epochs) =="
+    # merge_sealed folds deltas into a copy of the base tree's arena; a
+    # merge that rebuilt the tree would close the gap (~47x on 2 vCPUs).
+    cargo run -q --release --offline --bin bench_diff -- \
+        --within "$fresh/BENCH_ingestion.json" \
+        --assert-ratio-ge ingestion/rebuild ingestion/merge_sealed 5
     echo "== bench-diff: service scaling gate (8 shards >= 2x the qps of 1 shard) =="
     # Both benches push the same 256-query burst, so "shards1 takes >= 2x
     # as long per iteration" is "shards8 sustains >= 2x the queries/sec at

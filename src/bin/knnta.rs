@@ -372,6 +372,9 @@ fn ingest(opts: &Opts) -> Result<(), String> {
     let events: usize = opts.num("events", 1_000_000)?;
     let writers: usize = opts.num("writers", 4)?;
     let shards: usize = opts.num("shards", 8)?;
+    if events == 0 {
+        return Err("--events must be at least 1".into());
+    }
     if writers == 0 {
         return Err("--writers must be at least 1".into());
     }

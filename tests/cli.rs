@@ -509,3 +509,17 @@ fn build_rejects_too_small_epoch_count() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("too small"));
     let _ = std::fs::remove_file(csv);
 }
+
+#[test]
+fn ingest_rejects_zero_events_writers_and_shards() {
+    // `--events 0` used to fill its stream forever and abort on OOM.
+    for (flag, value) in [("--events", "0"), ("--writers", "0"), ("--shards", "0")] {
+        let out = knnta()
+            .args(["ingest", "--dataset", "GS", "--scale", "0.002", flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{flag} must be at least 1")), "{flag}: {err}");
+    }
+}

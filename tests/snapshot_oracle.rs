@@ -136,16 +136,31 @@ fn replay_of(dataset: &LbsnDataset, grouping: Grouping, snap: &SnapshotView) -> 
     index
 }
 
+/// Who merges sealed batches while a stream runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Merges {
+    /// Nobody: the overlay only grows.
+    Never,
+    /// The sealer, after every third seal.
+    BySealer,
+    /// A dedicated thread calling `merge_sealed` in a loop while the
+    /// sealer seals back to back, so merges and seals publish in between
+    /// each other's reads of the published state as often as possible.
+    Dedicated,
+}
+
 /// Streams `events` into `live` from `writers` round-robin threads while a
-/// sealer thread seals (and occasionally merges) concurrently; a reader
-/// thread collects up to `max_snapshots` snapshots mid-stream. Ends with
-/// one final seal so at least one epoch of data is visible.
+/// sealer thread seals concurrently and merges run per `merges`; a reader
+/// thread snapshots throughout, checks that no snapshot lost a delta an
+/// earlier one held, and returns up to `max_snapshots` of them spread over
+/// the stream. Ends with one final seal so at least one epoch of data is
+/// visible.
 fn stream_concurrently(
     live: &LiveIndex,
     events: &[CheckIn],
     writers: usize,
     max_snapshots: usize,
-    merge_while_streaming: bool,
+    merges: Merges,
 ) -> Vec<SnapshotView> {
     let done = AtomicBool::new(false);
     let snapshots: Mutex<Vec<SnapshotView>> = Mutex::new(Vec::new());
@@ -163,21 +178,57 @@ fn stream_concurrently(
             let mut i = 0u32;
             while !done.load(Ordering::Relaxed) {
                 live.seal_epoch();
-                if merge_while_streaming && i % 3 == 2 {
+                if merges == Merges::BySealer && i % 3 == 2 {
                     live.merge_sealed();
                 }
                 i += 1;
-                std::thread::sleep(Duration::from_micros(400));
+                if merges == Merges::Dedicated {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(Duration::from_micros(400));
+                }
             }
         });
-        s.spawn(|| {
-            while !done.load(Ordering::Relaxed) {
-                {
-                    let mut snaps = snapshots.lock().unwrap();
-                    if snaps.len() < max_snapshots {
-                        snaps.push(live.snapshot());
+        if merges == Merges::Dedicated {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    if live.merge_sealed() == 0 {
+                        std::thread::yield_now();
                     }
                 }
+            });
+        }
+        s.spawn(|| {
+            // Snapshot all through the stream. Each snapshot must hold every
+            // delta the one before it held; up to `max_snapshots` of them,
+            // spread over the stream by halving, go to the replay check.
+            let mut prev: BTreeMap<(usize, PoiId), u64> = BTreeMap::new();
+            let (mut taken, mut stride) = (0usize, 1usize);
+            while !done.load(Ordering::Relaxed) {
+                let snap = live.snapshot();
+                let seen: BTreeMap<(usize, PoiId), u64> = snap
+                    .cumulative_deltas()
+                    .into_iter()
+                    .map(|(e, p, v)| ((e, p), v))
+                    .collect();
+                for (key, &v) in &prev {
+                    assert!(
+                        seen.get(key).copied().unwrap_or(0) >= v,
+                        "snapshot {taken} ({}) lost deltas of {key:?} an earlier one held",
+                        snap.watermark()
+                    );
+                }
+                prev = seen;
+                if max_snapshots > 0 && taken % stride == 0 {
+                    let mut snaps = snapshots.lock().unwrap();
+                    snaps.push(snap);
+                    if snaps.len() > max_snapshots {
+                        let kept = snaps.drain(..).step_by(2).collect();
+                        *snaps = kept;
+                        stride *= 2;
+                    }
+                }
+                taken += 1;
                 std::thread::sleep(Duration::from_micros(700));
             }
         });
@@ -218,7 +269,7 @@ fn concurrent_snapshots_match_single_threaded_replay() {
     let live = LiveIndex::new(empty_index(&dataset, Grouping::TarIntegral), 0);
 
     let max_snaps = if soak() { 20 } else { 8 };
-    let snaps = stream_concurrently(&live, &events, 4, max_snaps, true);
+    let snaps = stream_concurrently(&live, &events, 4, max_snaps, Merges::BySealer);
 
     assert_eq!(live.recorded(), events.len() as u64);
     assert_eq!(live.dropped(), expected_drops, "exactly the injected bad events drop");
@@ -305,13 +356,13 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
 
         let mut snaps = Vec::new();
         // (a) overlay over the still-empty base.
-        snaps.extend(stream_concurrently(&live, &events[..half], 4, 0, false));
-        // (b) everything sealed so far folded into a rebuilt base (which
+        snaps.extend(stream_concurrently(&live, &events[..half], 4, 0, Merges::Never));
+        // (b) everything sealed so far folded into a new base (which
         // re-materialises the paged + packed serving images).
         live.merge_sealed();
         snaps.push(live.snapshot());
         // (c) merged base plus a fresh overlay from the second half.
-        snaps.extend(stream_concurrently(&live, &events[half..], 4, 0, false));
+        snaps.extend(stream_concurrently(&live, &events[half..], 4, 0, Merges::Never));
 
         let workload = Workload::generate(&dataset, per_snap, IntervalAnchor::Random, 50 + gi as u64);
         for (si, snap) in snaps.iter().enumerate() {
@@ -353,6 +404,69 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
     }
 }
 
+#[test]
+fn dedicated_merger_matches_the_frozen_replay() {
+    // A thread does nothing but merge while writers record, the sealer
+    // seals back to back and the reader snapshots. Merges and seals keep
+    // publishing in between each other's reads of the published state, so
+    // both sides take the recompute-and-retry path. Every snapshot must
+    // still answer bit-identically to its frozen replay, in memory and on
+    // the packed image, and the quiesced tier must equal a batch build.
+    let dataset = small_dataset();
+    let reference = common::index_of(&dataset, Grouping::TarIntegral);
+    let (rounds, per_snap) = if soak() { (16, 6) } else { (6, 3) };
+    let mut rng = StdRng::seed_from_u64(0x3E26);
+    for round in 0..rounds {
+        let (events, expected_drops) = synth_events(&dataset, 0x3E26E + round);
+        let opts = LiveOptions {
+            serve_packed: true,
+            ..LiveOptions::default()
+        };
+        let live = LiveIndex::with_options(empty_index(&dataset, Grouping::TarIntegral), 0, opts);
+        let snaps = stream_concurrently(&live, &events, 3, 8, Merges::Dedicated);
+        assert_eq!(live.dropped(), expected_drops);
+        assert_eq!(
+            live.pending() + live.sealed_events() + live.dropped(),
+            live.recorded(),
+            "round {round}: conservation with a dedicated merger"
+        );
+        for w in snaps.windows(2) {
+            assert!(w[0].watermark() <= w[1].watermark(), "round {round}: watermarks are monotone");
+        }
+
+        let workload =
+            Workload::generate(&dataset, per_snap, IntervalAnchor::Random, 43 + round);
+        for (si, snap) in snaps.iter().enumerate() {
+            let replay = replay_of(&dataset, Grouping::TarIntegral, snap);
+            for (qi, &(point, interval)) in workload.queries.iter().enumerate() {
+                let k = rng.gen_range(1..=120usize);
+                let alpha0 = rng.gen_range(0.05..0.95);
+                let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(alpha0);
+                let ctx = format!("round {round} snapshot {si} ({}) q{qi} k={k}", snap.watermark());
+                let want = replay.query(&q);
+                assert_bits(&snap.query(&q), &want, &ctx);
+                assert_bits(
+                    &snap.query_on(&q, SnapshotBackend::Packed),
+                    &want,
+                    &format!("{ctx} packed"),
+                );
+            }
+        }
+
+        quiesce(&live);
+        live.merge_sealed();
+        live.validate();
+        let fin = live.snapshot();
+        for (qi, &(point, interval)) in workload.queries.iter().enumerate() {
+            let q = KnntaQuery::new(point, interval).with_k(25).with_alpha0(0.4);
+            let want = reference.query(&q);
+            let ctx = format!("round {round}: quiesced tier vs batch build, q{qi}");
+            assert_bits(&fin.query(&q), &want, &ctx);
+            assert_bits(&fin.query_on(&q, SnapshotBackend::Packed), &want, &format!("{ctx} packed"));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Randomized writer/reader schedules (the soak lane's stress surface).
 // ---------------------------------------------------------------------------
@@ -366,7 +480,11 @@ fn run_schedule(seed: u64) {
     let writers = rng.gen_range(1..=4usize);
     let shards = 1usize << rng.gen_range(0..4u32);
     let shuffle = rng.gen_range(0.0..0.5);
-    let merge_while_streaming = rng.gen_bool(0.5);
+    let merges = if rng.gen_bool(0.5) {
+        Merges::BySealer
+    } else {
+        Merges::Never
+    };
 
     let index = TarIndex::build(
         IndexConfig::default(),
@@ -407,7 +525,7 @@ fn run_schedule(seed: u64) {
         }
     }
 
-    let snaps = stream_concurrently(&live, &events, writers, 6, merge_while_streaming);
+    let snaps = stream_concurrently(&live, &events, writers, 6, merges);
     assert_eq!(live.dropped(), drops, "schedule drops exactly the bad events");
     assert_eq!(
         live.pending() + live.sealed_events() + live.dropped(),
