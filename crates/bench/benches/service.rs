@@ -13,6 +13,12 @@
 //! cores to pass: on a single-core box every shard count serializes onto
 //! the same CPU and the ratio collapses to ~1.
 //!
+//! The `service_idle/single` bench times one query at a time through an
+//! idle 2-shard service whose `max_delay` is 1 ms. Admission flushes at
+//! once while a shard worker is free, so the median must stay below
+//! `max_delay`; `bench_diff --within --assert-max service_idle/single
+//! 1000000` gates that in the bench-diff lane.
+//!
 //! The `service_p95` group measures the open-loop client at increasing
 //! offered load on the widest service; each bench records the client's
 //! measured `p95_us`/`qps` as counters in `BENCH_service.json`, tracing
@@ -29,6 +35,8 @@ use tempora::AggregateSeries;
 
 /// Queries per timed iteration (one closed burst).
 const BURST: usize = 256;
+/// Admission `max_delay` of the burst services.
+const BURST_DELAY: Duration = Duration::from_micros(100);
 
 fn bench_config() -> BenchConfig {
     BenchConfig {
@@ -37,10 +45,11 @@ fn bench_config() -> BenchConfig {
     }
 }
 
-/// A service over the dataset's full snapshot at the given shard count.
-/// `telemetry` toggles the always-on sliding-window instrumentation — the
-/// `service_obs` group benches both settings to gate its overhead.
-fn service_of(data: &BenchData, shards: usize, telemetry: bool) -> Service {
+/// A service over the dataset's full snapshot at the given shard count and
+/// admission `max_delay`. `telemetry` toggles the always-on sliding-window
+/// instrumentation — the `service_obs` group benches both settings to gate
+/// its overhead.
+fn service_of(data: &BenchData, shards: usize, telemetry: bool, max_delay: Duration) -> Service {
     let pois: Vec<(Poi, AggregateSeries)> = data
         .snapshot
         .iter()
@@ -51,7 +60,7 @@ fn service_of(data: &BenchData, shards: usize, telemetry: bool) -> Service {
             shards,
             workers: 1,
             max_batch: 32,
-            max_delay: Duration::from_micros(100),
+            max_delay,
             telemetry: TelemetryConfig {
                 enabled: telemetry,
                 ..TelemetryConfig::default()
@@ -79,8 +88,10 @@ fn main() {
 
     // Throughput at saturating load, round-robin across shard counts. The
     // services run with the production default: telemetry on.
-    let services: Vec<(usize, Service)> =
-        [1usize, 2, 4, 8].iter().map(|&s| (s, service_of(&data, s, true))).collect();
+    let services: Vec<(usize, Service)> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&s| (s, service_of(&data, s, true, BURST_DELAY)))
+        .collect();
     {
         let mut g = h.interleaved_group("service");
         g.sample_size(15);
@@ -102,8 +113,8 @@ fn main() {
     // service_obs/qps/telemetry_on service_obs/qps/telemetry_off`
     // gates the cost of the always-on instrumentation.
     {
-        let on = service_of(&data, 4, true);
-        let off = service_of(&data, 4, false);
+        let on = service_of(&data, 4, true, BURST_DELAY);
+        let off = service_of(&data, 4, false, BURST_DELAY);
         let mut g = h.interleaved_group("service_obs");
         g.sample_size(15);
         for (label, service) in [("telemetry_off", &off), ("telemetry_on", &on)] {
@@ -115,6 +126,19 @@ fn main() {
                 }
             });
         }
+        g.finish();
+    }
+
+    // Idle path: one query per iteration, answered before the next is
+    // submitted, so every flush finds the shards idle.
+    {
+        let idle = service_of(&data, 2, true, Duration::from_millis(1));
+        let mut queries = stream.iter().cycle();
+        let mut g = h.interleaved_group("service_idle");
+        g.bench("single", move || {
+            let q = queries.next().expect("cycle over a non-empty stream");
+            black_box(idle.submit(*q).wait());
+        });
         g.finish();
     }
 

@@ -10,19 +10,27 @@
 //!
 //! ```text
 //! submit() ──► admission ──► shard 0 workers ─┐
-//!              (tile by     shard 1 workers ──┼──► merger ──► Ticket
-//!               Hilbert,         ...          │
-//!               flush on    shard N-1 workers ┘
-//!               size or
-//!               deadline)
+//!    ▲         (tile by     shard 1 workers ──┼──► merger ──► Ticket
+//!    │          Hilbert,         ...          │      │
+//!    │          flush on    shard N-1 workers ┘      │
+//!    │          size, dead-                          │
+//!    │          line or idle)                        │
+//!    └────────── idle wake-up (in-flight < workers) ─┘
 //! ```
 //!
-//! * **Admission** accumulates in-flight queries into a batch and flushes
-//!   when the batch reaches `max_batch` queries or the oldest query has
-//!   waited `max_delay` (deadline-or-size). Each flush is ordered along
-//!   the 3-D Hilbert curve ([`knnta_core::BatchOrder::Hilbert`]) so the
-//!   collective execution inside every shard walks a locality tile — the
-//!   streaming generalisation of the static batches of PR 4.
+//! * **Admission** is work-conserving. It counts the flushes in flight
+//!   (dispatched, last shard result not yet merged). While fewer than
+//!   `workers` are in flight every shard has a free worker, so admission
+//!   flushes at once whatever is already queued (up to `max_batch`) —
+//!   waiting would only add latency. Otherwise it batches, and flushes on
+//!   the first of three triggers: the batch reaches `max_batch` (size),
+//!   the oldest query has waited `max_delay` (deadline), or the merger's
+//!   in-band wake-up reports that the in-flight count fell below
+//!   `workers` (idle). Each flush is ordered along the 3-D Hilbert curve
+//!   ([`knnta_core::BatchOrder::Hilbert`]) so the collective execution
+//!   inside every shard walks a locality tile — the streaming
+//!   generalisation of the static batches of DESIGN.md §10. Batching only
+//!   decides which queries share a flush, never an answer.
 //! * **Shards**: the POI set is partitioned across `shards` engine shards
 //!   by [`knnta_core::partition_pois`] (contiguous Hilbert runs). Every
 //!   shard builds its own `TarIndex` + packed image **with the global grid
@@ -71,13 +79,16 @@ use knnta_core::{
     PackedTarTree, Planner, Poi, QueryHit, TarIndex,
 };
 use knnta_obs::SpanId;
-use knnta_util::chan::{self, OneshotReceiver, OneshotSender, Receiver, RecvError, Sender};
+use knnta_util::chan::{
+    self, OneshotReceiver, OneshotSender, Receiver, RecvError, Sender, WeakSender,
+};
 use knnta_util::pool::ThreadPool;
 use knnta_util::sync::Mutex;
 use rtree::Rect;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempora::{AggregateSeries, EpochGrid};
@@ -88,8 +99,11 @@ pub const M_SUBMITTED: &str = "knnta.service.submitted";
 pub const M_ANSWERED: &str = "knnta.service.answered";
 /// Counter: admission flushes (locality tiles dispatched).
 pub const M_FLUSHES: &str = "knnta.service.flushes";
-/// Counter: queries flushed by the size trigger (vs the deadline trigger).
+/// Counter: flushes cut by the size trigger.
 pub const M_FLUSH_FULL: &str = "knnta.service.flush_full";
+/// Counter: flushes cut because a shard worker was free (at once on
+/// arrival, or on the merger's idle wake-up).
+pub const M_FLUSH_IDLE: &str = "knnta.service.flush_idle";
 /// Counter: shard-task retries after a caught worker panic.
 pub const M_RETRIES: &str = "knnta.service.retries";
 /// Counter: shard rebuilds triggered by caught panics.
@@ -112,7 +126,9 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission flushes when this many queries are waiting…
     pub max_batch: usize,
-    /// …or when the oldest waiting query has been held this long.
+    /// …or when the oldest waiting query has been held this long. The
+    /// upper bound on a query's admission wait, reached only while every
+    /// shard worker is busy: while one is free, admission flushes at once.
     pub max_delay: Duration,
     /// Retries per shard task after a caught panic (each on a freshly
     /// rebuilt shard) before the panic is propagated to the tickets.
@@ -243,6 +259,58 @@ struct Entry {
     submitted: Instant,
 }
 
+/// What travels on the submission queue.
+enum Admit {
+    Query(Entry),
+    /// The merger's wake-up: the in-flight count fell below `workers`.
+    Idle,
+}
+
+/// Flushes dispatched to the shards whose last result the merger has not
+/// yet taken. Admission is the only incrementer, the merger the only
+/// decrementer. The count publishes no other data, so it is `Relaxed`:
+/// the wake-up that follows a decrement passes through the submission
+/// queue's lock, which orders admission's next read after it.
+struct InFlight {
+    count: AtomicUsize,
+    workers: usize,
+}
+
+impl InFlight {
+    /// Whether every shard has a worker free for another flush.
+    fn has_free_worker(&self) -> bool {
+        self.count.load(Ordering::Relaxed) < self.workers
+    }
+
+    fn dispatched(&self) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a flush out; true when this freed the first worker, i.e.
+    /// the count just fell below `workers`.
+    fn completed(&self) -> bool {
+        self.count.fetch_sub(1, Ordering::Relaxed) == self.workers
+    }
+}
+
+/// Why admission cut a flush.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Trigger {
+    Size,
+    Deadline,
+    Idle,
+}
+
+impl Trigger {
+    fn name(self) -> &'static str {
+        match self {
+            Trigger::Size => "size",
+            Trigger::Deadline => "deadline",
+            Trigger::Idle => "idle",
+        }
+    }
+}
+
 /// One shard execution: a flushed tile, in Hilbert order.
 struct Task {
     flush: u64,
@@ -342,6 +410,7 @@ struct Counters {
     answered: knnta_obs::Counter,
     flushes: knnta_obs::Counter,
     flush_full: knnta_obs::Counter,
+    flush_idle: knnta_obs::Counter,
     retries: knnta_obs::Counter,
     rebuilds: knnta_obs::Counter,
     failures: knnta_obs::Counter,
@@ -354,6 +423,7 @@ impl Counters {
             answered: obs.counter(M_ANSWERED),
             flushes: obs.counter(M_FLUSHES),
             flush_full: obs.counter(M_FLUSH_FULL),
+            flush_idle: obs.counter(M_FLUSH_IDLE),
             retries: obs.counter(M_RETRIES),
             rebuilds: obs.counter(M_REBUILDS),
             failures: obs.counter(M_FAILURES),
@@ -365,7 +435,7 @@ impl Counters {
 /// worker, and merger threads behind it. Dropping the service shuts it
 /// down (draining the queue first).
 pub struct Service {
-    submit_tx: Sender<Entry>,
+    submit_tx: Sender<Admit>,
     submitted: knnta_obs::Counter,
     obs: Obs,
     shards: usize,
@@ -428,7 +498,11 @@ impl Service {
 
         let telemetry = ServiceTelemetry::new(&config.telemetry, shards_n);
 
-        let (submit_tx, submit_rx) = chan::channel::<Entry>();
+        let (submit_tx, submit_rx) = chan::channel::<Admit>();
+        let in_flight = Arc::new(InFlight {
+            count: AtomicUsize::new(0),
+            workers: workers_n,
+        });
         let (merge_tx, merge_rx) = chan::channel::<MergeMsg>();
         let shard_channels: Vec<(Sender<Task>, Receiver<Task>)> =
             (0..shards_n).map(|_| chan::channel::<Task>()).collect();
@@ -446,10 +520,11 @@ impl Service {
             let obs = obs.clone();
             let counters = counters.clone();
             let telemetry = telemetry.clone();
+            let in_flight = in_flight.clone();
             let queued = admit_pool.execute(move || {
                 admission_loop(
                     &submit_rx, &shard_txs, &merge_tx, &order_data, &config, &obs, &counters,
-                    &telemetry,
+                    &telemetry, &in_flight,
                 );
                 for tx in &shard_txs {
                     tx.close();
@@ -484,8 +559,12 @@ impl Service {
             let obs = obs.clone();
             let counters = counters.clone();
             let telemetry = telemetry.clone();
-            let queued =
-                merge_pool.execute(move || merger_loop(&merge_rx, &obs, &counters, &telemetry));
+            // Weak: the wake-up sender must not keep the submission queue
+            // open, so closing it still drains admission first.
+            let wake = submit_tx.downgrade();
+            let queued = merge_pool.execute(move || {
+                merger_loop(&merge_rx, &obs, &counters, &telemetry, &in_flight, &wake)
+            });
             assert!(queued.is_ok(), "merge pool accepts its loop");
         }
 
@@ -513,7 +592,7 @@ impl Service {
             reply: tx,
             submitted,
         };
-        if self.submit_tx.send(entry).is_ok() {
+        if self.submit_tx.send(Admit::Query(entry)).is_ok() {
             self.submitted.add(1);
             self.telemetry.submitted.inc();
         }
@@ -552,11 +631,12 @@ impl Drop for Service {
     }
 }
 
-/// Admission: accumulate submissions into a tile, flush on size or
-/// deadline, order along the Hilbert curve, scatter to every shard.
+/// Admission: accumulate submissions into a tile, flush on size, deadline
+/// or a free shard worker, order along the Hilbert curve, scatter to every
+/// shard.
 #[allow(clippy::too_many_arguments)]
 fn admission_loop(
-    submit_rx: &Receiver<Entry>,
+    submit_rx: &Receiver<Admit>,
     shard_txs: &[Sender<Task>],
     merge_tx: &Sender<MergeMsg>,
     order_data: &ShardData,
@@ -564,50 +644,33 @@ fn admission_loop(
     obs: &Obs,
     counters: &Counters,
     telemetry: &ServiceTelemetry,
+    in_flight: &InFlight,
 ) {
     let mut flush_id = 0u64;
     loop {
         let first = match submit_rx.recv() {
-            Ok(entry) => entry,
-            Err(_) => return, // closed and drained: every entry was flushed
+            Ok(Admit::Query(entry)) => entry,
+            Ok(Admit::Idle) => continue, // nothing is waiting to be flushed
+            Err(_) => return,            // closed and drained: every entry was flushed
         };
         let admit_span = obs.span("admit", SpanId::NONE);
-        let batch_started = Instant::now();
-        let mut batch = vec![first];
-        let mut filled = true;
-        while batch.len() < config.max_batch {
-            let elapsed = batch_started.elapsed();
-            if elapsed >= config.max_delay {
-                filled = false;
-                break;
-            }
-            match submit_rx.recv_timeout(config.max_delay - elapsed) {
-                Ok(entry) => batch.push(entry),
-                Err(RecvError::Timeout) => {
-                    filled = false;
-                    break;
-                }
-                // Closed: flush what we have, then the next recv() exits.
-                Err(RecvError::Closed) => {
-                    filled = false;
-                    break;
-                }
-            }
-        }
+        let (batch, trigger) = collect(first, submit_rx, config, in_flight);
         flush_id += 1;
         admit_span.set_attrs(vec![
             ("flush".into(), flush_id.into()),
             ("batch".into(), batch.len().into()),
-            ("filled".into(), filled.into()),
+            ("trigger".into(), trigger.name().into()),
         ]);
         drop(admit_span);
         counters.flushes.add(1);
-        if filled {
-            counters.flush_full.add(1);
+        match trigger {
+            Trigger::Size => counters.flush_full.add(1),
+            Trigger::Idle => counters.flush_idle.add(1),
+            Trigger::Deadline => {}
         }
         // The admission clock: flush counting drives window rotation — no
         // wall-clock reads, deterministic under seeded test streams.
-        telemetry.on_flush(flush_id, filled);
+        telemetry.on_flush(flush_id, trigger == Trigger::Size);
 
         let tile_span = obs.span("tile", SpanId::NONE);
         let queries: Vec<KnntaQuery> = batch.iter().map(|e| e.query).collect();
@@ -640,6 +703,7 @@ fn admission_loop(
             })
             .is_ok();
         if manifest_sent {
+            in_flight.dispatched();
             for tx in shard_txs {
                 let _ = tx.send(Task {
                     flush: flush_id,
@@ -650,6 +714,52 @@ fn admission_loop(
         }
         drop(tile_span);
     }
+}
+
+/// Builds one flush from `first` and whatever follows it: flushes at once
+/// with the queries already queued while a shard worker is free, else
+/// collects until the batch is full, `max_delay` has passed since `first`
+/// was taken, or the merger's wake-up shows a worker free again.
+fn collect(
+    first: Entry,
+    submit_rx: &Receiver<Admit>,
+    config: &ServiceConfig,
+    in_flight: &InFlight,
+) -> (Vec<Entry>, Trigger) {
+    let started = Instant::now();
+    let mut batch = vec![first];
+    let trigger = loop {
+        if batch.len() >= config.max_batch {
+            break Trigger::Size;
+        }
+        if in_flight.has_free_worker() {
+            while batch.len() < config.max_batch {
+                match submit_rx.try_recv() {
+                    Ok(Admit::Query(entry)) => batch.push(entry),
+                    Ok(Admit::Idle) => {}
+                    Err(_) => break,
+                }
+            }
+            break if batch.len() >= config.max_batch {
+                Trigger::Size
+            } else {
+                Trigger::Idle
+            };
+        }
+        let elapsed = started.elapsed();
+        if elapsed >= config.max_delay {
+            break Trigger::Deadline;
+        }
+        match submit_rx.recv_timeout(config.max_delay - elapsed) {
+            Ok(Admit::Query(entry)) => batch.push(entry),
+            // A flush completed: the next pass re-reads the in-flight count.
+            Ok(Admit::Idle) => {}
+            // Timed out, or closed: flush what we have (on close the next
+            // recv() exits).
+            Err(_) => break Trigger::Deadline,
+        }
+    };
+    (batch, trigger)
 }
 
 /// One shard worker: drain tasks, execute through the planner-driven
@@ -748,12 +858,16 @@ fn worker_loop(
 }
 
 /// Merger: gather per-shard results per flush, merge under the global
-/// total order, answer every ticket.
+/// total order, answer every ticket. Once a flush's last shard result is
+/// in, it counts the flush out of `in_flight` and wakes admission when
+/// that freed a worker.
 fn merger_loop(
     rx: &Receiver<MergeMsg>,
     obs: &Obs,
     counters: &Counters,
     telemetry: &ServiceTelemetry,
+    in_flight: &InFlight,
+    wake: &WeakSender<Admit>,
 ) {
     struct Pending {
         entries: Vec<Entry>,
@@ -798,6 +912,11 @@ fn merger_loop(
                     continue;
                 }
                 let done = pending.remove(&flush).expect("present above");
+                // Every shard is done with this flush, whether it is about
+                // to be answered or failed.
+                if in_flight.completed() {
+                    let _ = wake.send(Admit::Idle);
+                }
                 // Per-shard attribution for this flush: scatter is the
                 // slowest shard execution; queueing is whatever of the
                 // post-flush wall time the executions themselves don't

@@ -60,7 +60,7 @@ pub const W_SUBMITTED: &str = "knnta.service.window.submitted";
 pub const W_ANSWERED: &str = "knnta.service.window.answered";
 /// Window counter: admission flushes.
 pub const W_FLUSHES: &str = "knnta.service.window.flushes";
-/// Window counter: flushes triggered by size (vs deadline).
+/// Window counter: flushes triggered by size (vs deadline or a free worker).
 pub const W_FLUSH_FULL: &str = "knnta.service.window.flush_full";
 /// Window counter: shard-task failures (retries exhausted).
 pub const W_FAILURES: &str = "knnta.service.window.failures";

@@ -11,6 +11,9 @@
 //!   returning queued items until the queue is empty **and** closed, which
 //!   is exactly the "shutdown drains in-flight work" contract a service
 //!   loop wants.
+//! * [`Sender::downgrade`] — a [`WeakSender`] that can send but does not
+//!   count towards keeping the channel open, for a consumer that feeds
+//!   hints back into its own producer's queue.
 //! * [`oneshot`] — a single-value rendezvous built on the same queue, used
 //!   for per-request response slots. Dropping the sender without sending
 //!   wakes the receiver with [`RecvError::Closed`], so a waiter can never
@@ -55,10 +58,28 @@ impl<T> Shared<T> {
         self.lock().closed = true;
         self.cond.notify_all();
     }
+
+    fn send(&self, value: T) -> Result<(), T> {
+        {
+            let mut state = self.lock();
+            if state.closed {
+                return Err(value);
+            }
+            state.queue.push_back(value);
+        }
+        self.cond.notify_one();
+        Ok(())
+    }
 }
 
 /// The sending half of an MPMC channel (clone freely).
 pub struct Sender<T> {
+    shared: Arc<Shared<T>>,
+}
+
+/// A sending handle that does not keep the channel open: the channel still
+/// closes when the last [`Sender`] drops, after which sends fail.
+pub struct WeakSender<T> {
     shared: Arc<Shared<T>>,
 }
 
@@ -113,15 +134,14 @@ impl<T> Clone for Receiver<T> {
 impl<T> Sender<T> {
     /// Enqueues `value`. Returns it back if the channel is already closed.
     pub fn send(&self, value: T) -> Result<(), T> {
-        {
-            let mut state = self.shared.lock();
-            if state.closed {
-                return Err(value);
-            }
-            state.queue.push_back(value);
+        self.shared.send(value)
+    }
+
+    /// A [`WeakSender`] on the same channel.
+    pub fn downgrade(&self) -> WeakSender<T> {
+        WeakSender {
+            shared: self.shared.clone(),
         }
-        self.shared.cond.notify_one();
-        Ok(())
     }
 
     /// Closes the channel: queued items stay receivable, further sends fail.
@@ -132,6 +152,13 @@ impl<T> Sender<T> {
     /// Whether the channel has been closed.
     pub fn is_closed(&self) -> bool {
         self.shared.lock().closed
+    }
+}
+
+impl<T> WeakSender<T> {
+    /// Enqueues `value`. Returns it back if the channel is already closed.
+    pub fn send(&self, value: T) -> Result<(), T> {
+        self.shared.send(value)
     }
 }
 
@@ -306,6 +333,17 @@ mod tests {
         thread::sleep(Duration::from_millis(10));
         drop(tx);
         assert_eq!(waiter.join().unwrap(), Err(RecvError::Closed));
+    }
+
+    #[test]
+    fn weak_sender_does_not_keep_the_channel_open() {
+        let (tx, rx) = channel::<u32>();
+        let weak = tx.downgrade();
+        weak.send(1).unwrap();
+        drop(tx);
+        assert_eq!(weak.send(2), Err(2));
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv(), Err(RecvError::Closed));
     }
 
     #[test]

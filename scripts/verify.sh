@@ -31,7 +31,9 @@
 # the best one, measured on a dedicated 21-sample re-run of the queries
 # suite. It also gates live-tier merges: ingestion/rebuild must take at
 # least 5x as long as ingestion/merge_sealed (two sealed epochs folded into
-# a copy of the base tree).
+# a copy of the base tree), and gates the service's idle path: the median
+# of service_idle/single (one query on an idle 2-shard service whose
+# max_delay is 1 ms) must stay below 1 ms.
 #
 # Opt-in service lane: KNNTA_SERVICE_CHECK=1 drives `knnta serve` (the
 # async sharded query service) with a short seeded open-loop client,
@@ -157,6 +159,12 @@ if [ -n "${KNNTA_BENCH_DIFF:-}" ]; then
     cargo run -q --release --offline --bin bench_diff -- \
         --within "$fresh/BENCH_ingestion.json" \
         --assert-ratio-ge ingestion/rebuild ingestion/merge_sealed 5
+    echo "== bench-diff: idle-path gate (service_idle/single median < max_delay = 1 ms) =="
+    # Admission flushes at once while a shard worker is free; a service
+    # that held an idle query for max_delay would sit at or above 1 ms.
+    cargo run -q --release --offline --bin bench_diff -- \
+        --within "$fresh/BENCH_service.json" \
+        --assert-max service_idle/single 1000000
     echo "== bench-diff: service scaling gate (8 shards >= 2x the qps of 1 shard) =="
     # Both benches push the same 256-query burst, so "shards1 takes >= 2x
     # as long per iteration" is "shards8 sustains >= 2x the queries/sec at

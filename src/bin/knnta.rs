@@ -563,14 +563,22 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let rate: f64 = opts.num("rate", 5000.0)?;
     let k: usize = opts.num("k", 10)?;
     let alpha0: f64 = opts.num("alpha0", 0.3)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
+    for (flag, value) in [
+        ("--shards", shards),
+        ("--workers", workers),
+        ("--max-batch", max_batch),
+        ("--queries", queries),
+        ("--k", k),
+    ] {
+        if value == 0 {
+            return Err(format!("{flag} must be at least 1"));
+        }
     }
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err("--rate must be finite and positive".into());
     }
-    if rate <= 0.0 {
-        return Err("--rate must be positive".into());
+    if !(alpha0 > 0.0 && alpha0 < 1.0) {
+        return Err("--alpha0 must lie strictly between 0 and 1".into());
     }
     let dataset = spec.generate(scale, epoch_days, seed);
     let snapshot = dataset.snapshot(dataset.grid.len());
@@ -626,7 +634,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let stream = powerlaw_queries(&dataset, &client);
     println!(
         "serving:     {name} ×{scale} ({venues} venues) on {} shards × {workers} workers, \
-         flush at {max_batch} queries or {max_delay_us} µs",
+         flush at once while a worker is free, else at {max_batch} queries or {max_delay_us} µs",
         service.shards()
     );
     let report = run_open_loop(&service, &stream, rate);
@@ -681,9 +689,11 @@ fn serve(opts: &Opts) -> Result<(), String> {
         let metrics = obs.metrics_snapshot();
         let c = |name: &str| metrics.counter(name).unwrap_or(0);
         println!(
-            "service:     {} flushes ({} size-triggered), {} retries, {} rebuilds, {} failures",
+            "service:     {} flushes ({} size-triggered, {} idle-triggered), {} retries, \
+             {} rebuilds, {} failures",
             c(knnta::service::M_FLUSHES),
             c(knnta::service::M_FLUSH_FULL),
+            c(knnta::service::M_FLUSH_IDLE),
             c(knnta::service::M_RETRIES),
             c(knnta::service::M_REBUILDS),
             c(knnta::service::M_FAILURES)

@@ -523,3 +523,28 @@ fn ingest_rejects_zero_events_writers_and_shards() {
         assert!(err.contains(&format!("{flag} must be at least 1")), "{flag}: {err}");
     }
 }
+
+#[test]
+fn serve_rejects_bad_arguments() {
+    // `--rate nan` and `--alpha0 2` used to panic (exit 101); `--rate inf`,
+    // `--k 0` and `--queries 0` ran, and `--max-batch 0` was clamped to 1.
+    for (flag, value, message) in [
+        ("--rate", "nan", "--rate must be finite and positive"),
+        ("--rate", "inf", "--rate must be finite and positive"),
+        ("--rate", "0", "--rate must be finite and positive"),
+        ("--alpha0", "2", "--alpha0 must lie strictly between 0 and 1"),
+        ("--alpha0", "nan", "--alpha0 must lie strictly between 0 and 1"),
+        ("--alpha0", "0", "--alpha0 must lie strictly between 0 and 1"),
+        ("--k", "0", "--k must be at least 1"),
+        ("--queries", "0", "--queries must be at least 1"),
+        ("--max-batch", "0", "--max-batch must be at least 1"),
+    ] {
+        let out = knnta()
+            .args(["serve", "--dataset", "GS", "--scale", "0.002", flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{flag} {value}: {err}");
+    }
+}

@@ -4,9 +4,10 @@
 
 use knnta::core::{Grouping, IndexConfig, Obs, QueryHit, ScanBaseline, TarIndex};
 use knnta::lbsn::LbsnDataset;
+use knnta::service::FaultHook;
 use knnta::{AggregateSeries, EpochGrid, Poi};
 use rtree::Rect;
-use std::sync::OnceLock;
+use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 
 /// When `KNNTA_OBS_TRACE_DIR` is set (the soak lane's failing-seed replay),
 /// every index built through these helpers shares one enabled [`Obs`]
@@ -127,4 +128,28 @@ pub fn tiny_dataset() -> (EpochGrid, Rect<2>, Vec<(Poi, AggregateSeries)>) {
         pois.push((Poi::new(i, x, y), series));
     }
     (grid, bounds, pois)
+}
+
+/// A service fault hook that holds flush 1 on every shard until the
+/// returned latch's write side is released, and reports on the receiver
+/// each time flush 1 reaches a shard; every other flush runs `other`.
+/// Take `latch.write()` before submitting flush 1's query, and declare the
+/// guard after the service, so a failing assertion releases the latch
+/// before the service's drop joins the held workers.
+pub fn hold_flush_one(
+    other: impl Fn(usize, u64, usize) + Send + Sync + 'static,
+) -> (FaultHook, Arc<RwLock<()>>, mpsc::Receiver<()>) {
+    let latch = Arc::new(RwLock::new(()));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let entered_tx = Mutex::new(entered_tx);
+    let held = latch.clone();
+    let hook: FaultHook = Arc::new(move |shard, flush, attempt| {
+        if flush == 1 {
+            let _ = entered_tx.lock().unwrap().send(());
+            drop(held.read().unwrap());
+        } else {
+            other(shard, flush, attempt);
+        }
+    });
+    (hook, latch, entered_rx)
 }

@@ -18,14 +18,14 @@
 
 mod common;
 
-use common::tiny_dataset;
+use common::{hold_flush_one, tiny_dataset};
 use knnta::core::{IndexConfig, Obs, QueryHit, TarIndex};
 use knnta::service::{
     FaultHook, Service, ServiceConfig, M_FAILURES, M_REBUILDS, M_RETRIES,
 };
 use knnta::{KnntaQuery, TimeInterval, Timestamp};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,17 +126,14 @@ struct InjectedFault {
 /// panic message — and the service keeps answering later flushes.
 #[test]
 fn exhausted_retries_propagate_the_panic_and_service_recovers() {
-    let doomed_flush = Arc::new(AtomicU64::new(0));
-    let hook: FaultHook = {
-        let doomed = doomed_flush.clone();
-        Arc::new(move |_shard, flush, _attempt| {
-            // The first flush ever seen is doomed on every attempt.
-            let _ = doomed.compare_exchange(0, flush, Ordering::SeqCst, Ordering::SeqCst);
-            if doomed.load(Ordering::SeqCst) == flush {
-                std::panic::panic_any(InjectedFault { flush });
-            }
-        })
-    };
+    // Flush 1 holds the only worker on a latch, so admission batches the
+    // next two queries into flush 2, which is doomed on every attempt.
+    const DOOMED: u64 = 2;
+    let (hook, latch, entered) = hold_flush_one(|_shard, flush, _attempt| {
+        if flush == DOOMED {
+            std::panic::panic_any(InjectedFault { flush });
+        }
+    });
     let (service, reference, qs) = service_with(
         ServiceConfig {
             shards: 1,
@@ -148,11 +145,18 @@ fn exhausted_retries_propagate_the_panic_and_service_recovers() {
         }
         .with_fault_hook(hook),
     );
-    // Two queries → one flush of two entries (max_batch = 2). Which
-    // ticket gets the original payload depends on the Hilbert order of
-    // the flush, so assert over the pair.
+    let held = latch.write().unwrap();
+    let holder = service.submit(qs[3]);
+    entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("flush 1 reached the shard");
+    // Two queries while the worker is busy → one flush of two entries
+    // (max_batch = 2). Which ticket gets the original payload depends on
+    // the Hilbert order of the flush, so assert over the pair.
     let t0 = service.submit(qs[0]);
     let t1 = service.submit(qs[1]);
+    drop(held);
+    assert_eq!(key(&holder.wait()), key(&reference.query(&qs[3])));
     let payloads: Vec<_> = [t0, t1]
         .into_iter()
         .map(|t| {
@@ -172,7 +176,7 @@ fn exhausted_retries_propagate_the_panic_and_service_recovers() {
         .iter()
         .find_map(|p| p.downcast_ref::<InjectedFault>())
         .expect("original payload present");
-    assert_eq!(fault.flush, doomed_flush.load(Ordering::SeqCst));
+    assert_eq!(fault.flush, DOOMED);
     assert!(
         payloads.iter().any(|p| p
             .downcast_ref::<String>()

@@ -1,7 +1,7 @@
 //! Service-level differential oracle (`DESIGN.md` §15).
 //!
 //! Whatever the service does between `submit` and answer — streaming
-//! admission into Hilbert locality tiles, deadline-or-size flushes, POI
+//! admission into Hilbert locality tiles, size, deadline or idle flushes, POI
 //! partitioning across engine shards, per-shard planner-driven execution,
 //! scatter-gather merge — each response must be **bit-identical** to the
 //! unsharded, one-at-a-time execution of the same query on a single
@@ -17,13 +17,17 @@
 //! * a randomized property (`knnta_util::prop`) drawing the service
 //!   configuration *and* the query stream, so failures print a
 //!   `KNNTA_PROP_SEED=…` replay line.
+//!
+//! Two more tests pin the admission policy itself: an idle service flushes
+//! at once instead of waiting out `max_delay`, and a busy one still
+//! batches.
 
 mod common;
 
-use common::small_dataset;
+use common::{hold_flush_one, small_dataset};
 use knnta::core::{IndexConfig, Obs, QueryHit, TarIndex};
 use knnta::service::client::{powerlaw_queries, ClientConfig};
-use knnta::service::{Service, ServiceConfig};
+use knnta::service::{Service, ServiceConfig, M_FLUSHES, M_FLUSH_FULL, M_FLUSH_IDLE};
 use knnta::{AggregateSeries, EpochGrid, KnntaQuery, Poi, TimeInterval, Timestamp};
 use rtree::Rect;
 use std::sync::OnceLock;
@@ -115,9 +119,12 @@ fn assert_oracle(fix: &Fixture, service: &Service, queries: &[KnntaQuery], label
 
 /// The full deterministic grid: shard counts {1, 2, 4, 8} × worker counts
 /// {1, 2} × three flush policies — singleton flushes (`max_batch = 1`, the
-/// pure scatter path), a mixed policy that flushes on whichever of size or
-/// deadline trips first, and a one-big-tile policy (every query of the
-/// stream lands in a single Hilbert-ordered batch).
+/// pure scatter path), a mixed policy that flushes on whichever of size,
+/// deadline or a free worker trips first, and a one-big-tile policy
+/// (`max_batch` is the whole stream). Admission is work-conserving, so even
+/// the last one does not yield a single tile: the first query leaves at
+/// once and later ones batch only while the shards are busy.
+/// `busy_service_still_batches` pins a multi-query tile deterministically.
 #[test]
 fn sharded_service_matches_unsharded_reference_across_grid() {
     let fix = fixture();
@@ -208,4 +215,78 @@ fn random_service_configs_match_unsharded_reference() {
         let service = start(fix, config);
         assert_oracle(fix, &service, &queries, &label);
     });
+}
+
+/// An idle service flushes at once: with `max_delay` = 10 s, single queries
+/// submitted one after another each resolve well inside a second, and stay
+/// bit-identical to the reference.
+#[test]
+fn idle_service_answers_without_waiting_out_max_delay() {
+    let fix = fixture();
+    let service = start(
+        fix,
+        ServiceConfig {
+            shards: 2,
+            workers: 1,
+            max_batch: 64,
+            max_delay: Duration::from_secs(10),
+            ..ServiceConfig::default()
+        },
+    );
+    for (i, q) in fix.stream.iter().enumerate() {
+        let (got, _latency) = service
+            .submit(*q)
+            .wait_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("query {i} on an idle service waited out max_delay"));
+        assert_eq!(
+            key(&got),
+            key(&fix.reference.query(q)),
+            "idle query {i} diverged from the unsharded reference",
+        );
+    }
+}
+
+/// While every worker is busy, admission still batches. A fault hook holds
+/// flush 1 on a latch until the whole stream has been submitted; the rest
+/// of the stream then leaves as one flush when flush 1 completes — cut by
+/// the merger's idle wake-up, not by size (`max_batch` is the stream
+/// length) and not one flush per query.
+#[test]
+fn busy_service_still_batches() {
+    let fix = fixture();
+    let (hook, latch, entered) = hold_flush_one(|_, _, _| {});
+    let service = Service::start(
+        ServiceConfig {
+            shards: 2,
+            workers: 1,
+            max_batch: fix.stream.len(),
+            max_delay: Duration::from_secs(1),
+            ..ServiceConfig::default()
+        }
+        .with_fault_hook(hook),
+        fix.grid.clone(),
+        fix.bounds,
+        fix.pois.clone(),
+        Obs::enabled(),
+    );
+    let held = latch.write().unwrap();
+    let first = service.submit(fix.stream[0]);
+    entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("flush 1 reached a shard");
+    let rest: Vec<_> = fix.stream[1..].iter().map(|q| service.submit(*q)).collect();
+    drop(held);
+    for (i, ticket) in std::iter::once(first).chain(rest).enumerate() {
+        let got = ticket.wait();
+        assert_eq!(
+            key(&got),
+            key(&fix.reference.query(&fix.stream[i])),
+            "batched query {i} diverged from the unsharded reference",
+        );
+    }
+    let metrics = service.obs().metrics_snapshot();
+    let count = |name| metrics.counter(name).unwrap_or(0);
+    assert_eq!(count(M_FLUSHES), 2, "one held flush, then one batch");
+    assert_eq!(count(M_FLUSH_FULL), 0, "no flush reached max_batch");
+    assert_eq!(count(M_FLUSH_IDLE), 2, "both flushes left on a free worker");
 }
